@@ -79,14 +79,34 @@ final class BCCEngine(
   def crossNeighbors(v: Int): Array[Int] =
     g.neighbors(v).filter(u => alive(u) && isLeft(u) != isLeft(v))
 
-  /** Size of the intersection of two sorted arrays. */
-  private[core] def intersectSize(a: Array[Int], b: Array[Int]): Int = {
-    var i = 0; var j = 0; var c = 0
-    while (i < a.length && j < b.length) {
-      if (a(i) == b(j)) { c += 1; i += 1; j += 1 }
-      else if (a(i) < b(j)) i += 1
-      else j += 1
+  // Algorithm 7 scratch: crossMark(u) == crossStamp marks u as an alive
+  // cross neighbour of the vertex last passed to markCrossNeighbors
+  private val crossMark = new Array[Int](g.n)
+  private var crossStamp = 0
+
+  /** Mark the alive cross-label neighbours of `p` (replacing the previous
+    * marks), for [[countMarkedCross]].
+    */
+  private[core] def markCrossNeighbors(p: Int): Unit = {
+    crossStamp += 1
+    val ns = g.neighbors(p)
+    var i = 0
+    while (i < ns.length) {
+      val u = ns(i)
+      if (alive(u) && isLeft(u) != isLeft(p)) crossMark(u) = crossStamp
+      i += 1
     }
+  }
+
+  /** True if `u` is marked by the last [[markCrossNeighbors]] call. */
+  private[core] def isMarked(u: Int): Boolean = crossMark(u) == crossStamp
+
+  /** Number of marked vertices adjacent to `v`. */
+  private[core] def countMarkedCross(v: Int): Int = {
+    val ns = g.neighbors(v)
+    var c = 0
+    var i = 0
+    while (i < ns.length) { if (crossMark(ns(i)) == crossStamp) c += 1; i += 1 }
     c
   }
 

@@ -27,21 +27,30 @@ object FastDist {
     if (dMin == LocalGraph.Inf) return // only unreachable vertices died
 
     // S_u: alive vertices with old dist > dMin -> unknown; S_s: == dMin
-    val queue = new java.util.ArrayDeque[Int]()
+    val queue = new Array[Int](g.n) // every vertex enters at most once
+    var tail = 0
     var v = 0
     while (v < g.n) {
       if (alive(v)) {
         if (dist(v) > dMin && dist(v) != LocalGraph.Inf) dist(v) = LocalGraph.Inf
-        if (dist(v) == dMin) queue.add(v)
+        if (dist(v) == dMin) { queue(tail) = v; tail += 1 }
       }
       v += 1
     }
-    while (!queue.isEmpty) {
-      val u = queue.poll()
+    var head = 0
+    while (head < tail) {
+      val u = queue(head)
+      head += 1
       val du = dist(u)
-      for (w <- g.neighbors(u) if alive(w) && dist(w) == LocalGraph.Inf) {
-        dist(w) = du + 1
-        queue.add(w)
+      val ns = g.neighbors(u)
+      var i = 0
+      while (i < ns.length) {
+        val w = ns(i)
+        if (alive(w) && dist(w) == LocalGraph.Inf) {
+          dist(w) = du + 1
+          queue(tail) = w; tail += 1
+        }
+        i += 1
       }
     }
   }

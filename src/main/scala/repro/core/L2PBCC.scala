@@ -45,12 +45,23 @@ object L2PBCC {
     val pq = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by(-_._1))
     dist(src) = 0.0
     pq.enqueue((0.0, src))
-    while (pq.nonEmpty) {
+    // stop once dst is settled: later pops only relax with strict `<` and
+    // cannot change the prev entries of settled vertices, so the path is the
+    // one a full run returns
+    var settled = false
+    while (!settled && pq.nonEmpty) {
       val (d, u) = pq.dequeue()
       if (d <= dist(u)) {
-        for (w <- g.neighbors(u)) {
-          val nd = d + cost(w)
-          if (nd < dist(w)) { dist(w) = nd; prev(w) = u; pq.enqueue((nd, w)) }
+        if (u == dst) settled = true
+        else {
+          val ns = g.neighbors(u)
+          var i = 0
+          while (i < ns.length) {
+            val w = ns(i)
+            val nd = d + cost(w)
+            if (nd < dist(w)) { dist(w) = nd; prev(w) = u; pq.enqueue((nd, w)) }
+            i += 1
+          }
         }
       }
     }

@@ -66,23 +66,29 @@ object LeaderPair {
   /** Algorithm 7: subtract from leader `p`'s butterfly degree the
     * butterflies destroyed by deleting vertex `v`. Must be called while `v`
     * is still alive (adjacency current); mutates `e.chi(p)` only.
+    *
+    * `p`'s alive cross neighbours are marked once; a same-side `v` shares
+    * alpha of them (C(alpha, 2) butterflies), and a cross neighbour `v`
+    * loses, through each of its other cross neighbours `u`, the marked
+    * neighbours of `u` other than `v` itself.
     */
   def updateOnDeletion(e: BCCEngine, p: Int, v: Int): Unit = {
     if (p == v || !e.alive(p) || !e.alive(v)) return
-    val sameSide = e.isLeft(p) == e.isLeft(v)
-    if (sameSide) {
-      val alpha = e.intersectSize(e.crossNeighbors(p), e.crossNeighbors(v))
+    e.markCrossNeighbors(p)
+    if (e.isLeft(p) == e.isLeft(v)) {
+      val alpha = e.countMarkedCross(v)
       e.chi(p) -= alpha.toLong * (alpha - 1) / 2
-    } else {
-      val nbP = e.crossNeighbors(p)
-      if (java.util.Arrays.binarySearch(nbP, v) >= 0) {
-        var beta = 0L
-        for (u <- e.crossNeighbors(v) if u != p) {
-          val common = e.intersectSize(e.crossNeighbors(u), nbP)
-          beta += common - 1
-        }
-        e.chi(p) -= beta
+    } else if (e.isMarked(v)) {
+      var beta = 0L
+      val ns = e.g.neighbors(v)
+      var i = 0
+      while (i < ns.length) {
+        val u = ns(i)
+        if (u != p && e.alive(u) && e.isLeft(u) != e.isLeft(v))
+          beta += e.countMarkedCross(u) - 1
+        i += 1
       }
+      e.chi(p) -= beta
     }
   }
 }

@@ -46,16 +46,32 @@ object LocalBCC {
     inst.butterflyCountCalls += 1
     val chi = g.butterflyDegrees(leftComp, rightComp)
     var maxL = 0L; var maxR = 0L
-    for (v <- 0 until g.n) {
+    val keep = new Array[Boolean](g.n)
+    var keptCount = 0
+    var v = 0
+    while (v < g.n) {
       if (leftComp(v) && chi(v) > maxL) maxL = chi(v)
       if (rightComp(v) && chi(v) > maxR) maxR = chi(v)
+      if (leftComp(v) || rightComp(v)) { keep(v) = true; keptCount += 1 }
+      v += 1
     }
     if (maxL < params.b || maxR < params.b) return None
 
-    val keep = Array.tabulate(g.n)(v => leftComp(v) || rightComp(v))
-    val g0 = g.induced(keep)
-    val chi0 = Array.tabulate(g0.n)(v => chi(g.indexOf(g0.ids(v))))
-    Some(Candidate(g0, g0.indexOf(qlId), g0.indexOf(qrId), chi0))
+    // G0 keeps the parent's vertex order: its i-th vertex is the i-th kept one
+    val chi0 = new Array[Long](keptCount)
+    var ql0 = -1; var qr0 = -1
+    var i = 0
+    v = 0
+    while (v < g.n) {
+      if (keep(v)) {
+        chi0(i) = chi(v)
+        if (v == ql) ql0 = i
+        if (v == qr) qr0 = i
+        i += 1
+      }
+      v += 1
+    }
+    Some(Candidate(g.induced(keep), ql0, qr0, chi0))
   }
 
   /** Paper default parameters: k1/k2 = coreness of each query within its

@@ -13,7 +13,8 @@ final case class BCCParams(k1: Int, k2: Int, b: Int)
   * @param queryDistance max over community vertices of the distance to the
   *                      nearer..farther query vertex (Def. 5) in the community
   * @param diameter      exact diameter of the community subgraph
-  * @param rounds        number of deletion rounds the search performed
+  * @param rounds        number of deletion rounds of the refinement that
+  *                      produced this answer (not a running total)
   */
 final case class BCCResult(
     vertexIds: Set[Long],

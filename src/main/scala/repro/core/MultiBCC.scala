@@ -220,7 +220,9 @@ object MultiBCC {
     var first = true
     var lastDeleted: Seq[Int] = Nil
     val dists = qs.map(q => inst.timeQueryDist(g.bfs(Seq(q), alive))).toArray
+    var rounds = 0
     while (go) {
+      rounds += 1
       inst.rounds += 1
       if (!first) {
         if (fast) inst.timeQueryDist {
@@ -262,7 +264,7 @@ object MultiBCC {
 
     Option(bestMask).map { mask =>
       val ids = (0 until g.n).iterator.filter(mask).map(g.ids).toSet
-      MBCCResult(ids, labs, bestQd, inst.rounds)
+      MBCCResult(ids, labs, bestQd, rounds)
     }
   }
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
 import repro.graph.LocalGraph
 
 /** The greedy refinement loop of Algorithm 1 with bulk deletion, shared by
@@ -42,13 +43,16 @@ object Refine {
       lRight = LeaderPair.identify(e, left = false, distR)
     }
 
+    val batch = new Array[Int](g.n)
     var bestMask: Array[Boolean] = null
     var bestQd = Inf
     var lastDeleted: Seq[Int] = Nil
     var first = true
     var go = true
 
+    var rounds = 0
     while (go) {
+      rounds += 1
       inst.rounds += 1
       if (!first) mode match {
         case Naive =>
@@ -64,15 +68,23 @@ object Refine {
 
       if (distL(e.qr) == Inf) go = false // Q disconnected: no further BCC
       else {
-        // query distance per alive vertex (Def. 5), Inf-aware
+        // query distance per alive vertex (Def. 5, Inf when either side is
+        // unreachable); the batch holds the alive vertices at the maximum
         var maxQd = 0
+        var batchSize = 0
+        var batchHasQuery = false
         var v = 0
         while (v < g.n) {
           if (e.alive(v)) {
             val qd =
               if (distL(v) == Inf || distR(v) == Inf) Inf
               else math.max(distL(v), distR(v))
-            if (qd > maxQd || qd == Inf) maxQd = if (qd == Inf) Inf else math.max(maxQd, qd)
+            if (qd > maxQd) { maxQd = qd; batchSize = 0; batchHasQuery = false }
+            if (qd == maxQd) {
+              batch(batchSize) = v
+              batchSize += 1
+              if (v == e.ql || v == e.qr) batchHasQuery = true
+            }
           }
           v += 1
         }
@@ -80,15 +92,7 @@ object Refine {
           bestMask = e.alive.clone()
           bestQd = maxQd
         }
-        val batch = (0 until g.n).filter { v =>
-          e.alive(v) && {
-            val qd =
-              if (distL(v) == Inf || distR(v) == Inf) Inf
-              else math.max(distL(v), distR(v))
-            qd == maxQd
-          }
-        }
-        if (batch.contains(e.ql) || batch.contains(e.qr)) go = false
+        if (batchHasQuery) go = false
         else {
           val hook: Int => Unit = mode match {
             case Naive => _ => ()
@@ -99,7 +103,7 @@ object Refine {
                   if (lRight >= 0) LeaderPair.updateOnDeletion(e, lRight, v)
                 }
           }
-          e.deleteCascade(batch, hook) match {
+          e.deleteCascade(ArraySeq.unsafeWrapArray(batch.take(batchSize)), hook) match {
             case None => go = false // a query vertex was peeled
             case Some(removed) =>
               lastDeleted = removed
@@ -130,7 +134,7 @@ object Refine {
     Option(bestMask).map { mask =>
       val ids = (0 until g.n).iterator.filter(mask).map(g.ids).toSet
       val diam = if (computeDiameter) g.diameter(mask) else -1
-      BCCResult(ids, e.leftLabel, e.rightLabel, bestQd, diam, inst.rounds)
+      BCCResult(ids, e.leftLabel, e.rightLabel, bestQd, diam, rounds)
     }
   }
 }

@@ -14,10 +14,12 @@ final class Instrument {
   var totalNanos: Long = 0L
   var rounds: Int = 0
 
-  def timeQueryDist[T](f: => T): T = { val t0 = System.nanoTime(); val r = f; queryDistNanos += System.nanoTime() - t0; r }
-  def timeLeaderUpdate[T](f: => T): T = { val t0 = System.nanoTime(); val r = f; leaderUpdateNanos += System.nanoTime() - t0; r }
-  def timeButterflyCount[T](f: => T): T = { val t0 = System.nanoTime(); val r = f; butterflyCountNanos += System.nanoTime() - t0; r }
-  def timeTotal[T](f: => T): T = { val t0 = System.nanoTime(); val r = f; totalNanos += System.nanoTime() - t0; r }
+  // `finally` also records a call that leaves early, e.g. by a non-local
+  // `return` out of the timed block
+  def timeQueryDist[T](f: => T): T = { val t0 = System.nanoTime(); try f finally queryDistNanos += System.nanoTime() - t0 }
+  def timeLeaderUpdate[T](f: => T): T = { val t0 = System.nanoTime(); try f finally leaderUpdateNanos += System.nanoTime() - t0 }
+  def timeButterflyCount[T](f: => T): T = { val t0 = System.nanoTime(); try f finally butterflyCountNanos += System.nanoTime() - t0 }
+  def timeTotal[T](f: => T): T = { val t0 = System.nanoTime(); try f finally totalNanos += System.nanoTime() - t0 }
 
   def add(other: Instrument): Unit = {
     butterflyCountCalls += other.butterflyCountCalls

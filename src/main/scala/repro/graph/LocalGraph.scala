@@ -43,7 +43,10 @@ final class LocalGraph(
   def edges: Iterator[(Int, Int)] =
     (0 until n).iterator.flatMap(u => adj(u).iterator.filter(_ > u).map(v => (u, v)))
 
-  /** Induced subgraph on the vertices where `keep(v)`; re-indexed. */
+  /** Induced subgraph on the vertices where `keep(v)`; re-indexed.
+    * Kept vertices keep their relative order, so the `i`-th kept vertex of
+    * this graph is vertex `i` of the result.
+    */
   def induced(keep: Array[Boolean]): LocalGraph = {
     val newIdx = Array.fill(n)(-1)
     var m = 0
@@ -58,7 +61,17 @@ final class LocalGraph(
       if (w >= 0) {
         nIds(w) = ids(v)
         nLabels(w) = labels(v)
-        nAdj(w) = adj(v).collect { case u if keep(u) => newIdx(u) }.sorted
+        // adj(v) is sorted and newIdx is monotone on kept vertices, so the
+        // filtered list is sorted too
+        val ns = adj(v)
+        var c = 0
+        var i = 0
+        while (i < ns.length) { if (keep(ns(i))) c += 1; i += 1 }
+        val out = new Array[Int](c)
+        c = 0
+        i = 0
+        while (i < ns.length) { if (keep(ns(i))) { out(c) = newIdx(ns(i)); c += 1 }; i += 1 }
+        nAdj(w) = out
       }
       v += 1
     }
@@ -72,22 +85,33 @@ final class LocalGraph(
   }
 
   /** BFS distances from `sources` over `alive` vertices.
-    * Unreachable (or dead) vertices get [[LocalGraph.Inf]].
+    * Unreachable (or dead) vertices get [[LocalGraph.Inf]]; dead and
+    * repeated sources are skipped.
     */
   def bfs(sources: Seq[Int], alive: Array[Boolean] = null): Array[Int] = {
-    val dist = Array.fill(n)(LocalGraph.Inf)
-    val queue = new java.util.ArrayDeque[Int]()
-    for (s <- sources if alive == null || alive(s)) { dist(s) = 0; queue.add(s) }
-    while (!queue.isEmpty) {
-      val u = queue.poll()
+    val dist = new Array[Int](n)
+    java.util.Arrays.fill(dist, LocalGraph.Inf)
+    val queue = new Array[Int](n) // every vertex enters at most once
+    var tail = 0
+    val it = sources.iterator
+    while (it.hasNext) {
+      val s = it.next()
+      if ((alive == null || alive(s)) && dist(s) == LocalGraph.Inf) {
+        dist(s) = 0; queue(tail) = s; tail += 1
+      }
+    }
+    var head = 0
+    while (head < tail) {
+      val u = queue(head)
+      head += 1
       val du = dist(u)
-      var i = 0
       val ns = adj(u)
+      var i = 0
       while (i < ns.length) {
         val w = ns(i)
         if ((alive == null || alive(w)) && dist(w) == LocalGraph.Inf) {
           dist(w) = du + 1
-          queue.add(w)
+          queue(tail) = w; tail += 1
         }
         i += 1
       }
@@ -114,60 +138,109 @@ final class LocalGraph(
     comp
   }
 
-  /** Coreness of every vertex via Batagelj-Zaversnik bucket peeling. */
+  /** Coreness of every vertex via Batagelj-Zaversnik bucket peeling. Dead
+    * vertices get -1.
+    */
   def coreness(alive: Array[Boolean] = null): Array[Int] = {
-    val isAlive = if (alive == null) Array.fill(n)(true) else alive.clone()
-    val deg = Array.tabulate(n)(v => if (isAlive(v)) adj(v).count(isAlive) else -1)
-    val core = new Array[Int](n)
-    val maxDeg = if (n == 0) 0 else math.max(0, deg.max)
-    // bucket sort vertices by current degree
-    val order = (0 until n).filter(isAlive).sortBy(deg).toArray
+    val deg = new Array[Int](n) // -1 marks a dead vertex
+    var maxDeg = 0
+    var live = 0
+    var v = 0
+    while (v < n) {
+      if (alive == null || alive(v)) {
+        val ns = adj(v)
+        var d = 0
+        var i = 0
+        while (i < ns.length) { if (alive == null || alive(ns(i))) d += 1; i += 1 }
+        deg(v) = d
+        if (d > maxDeg) maxDeg = d
+        live += 1
+      } else deg(v) = -1
+      v += 1
+    }
+    // counting sort of the live vertices by degree (stable in index);
+    // bin(d) = start index of the degree-d block of `order`
+    val bin = new Array[Int](maxDeg + 1)
+    v = 0
+    while (v < n) { if (deg(v) >= 0) bin(deg(v)) += 1; v += 1 }
+    var start = 0
+    var d = 0
+    while (d <= maxDeg) { val c = bin(d); bin(d) = start; start += c; d += 1 }
+    val order = new Array[Int](live)
     val pos = new Array[Int](n)
+    v = 0
+    while (v < n) {
+      val dv = deg(v)
+      if (dv >= 0) { order(bin(dv)) = v; pos(v) = bin(dv); bin(dv) += 1 }
+      v += 1
+    }
+    d = maxDeg
+    while (d > 0) { bin(d) = bin(d - 1); d -= 1 }
+    bin(0) = 0
+    val core = new Array[Int](n)
+    v = 0
+    while (v < n) { if (deg(v) < 0) core(v) = -1; v += 1 }
     var i = 0
-    while (i < order.length) { pos(order(i)) = i; i += 1 }
-    val binStart = new Array[Int](maxDeg + 2)
-    for (v <- order) binStart(deg(v) + 1) += 1
-    i = 1
-    while (i < binStart.length) { binStart(i) += binStart(i - 1); i += 1 }
-    val bin = binStart.clone() // bin(d) = start index of degree-d block
-    i = 0
-    while (i < order.length) {
+    while (i < live) {
       val v = order(i)
-      core(v) = deg(v)
-      for (u <- adj(v) if isAlive(u) && deg(u) > deg(v)) {
-        // swap u to the front of its degree block, then decrement its degree
-        val du = deg(u)
-        val pu = pos(u)
-        val pw = bin(du)
-        val w = order(pw)
-        if (u != w) {
-          order(pu) = w; order(pw) = u
-          pos(u) = pw; pos(w) = pu
+      val dv = deg(v)
+      core(v) = dv
+      val ns = adj(v)
+      var j = 0
+      while (j < ns.length) {
+        val u = ns(j)
+        val du = deg(u) // -1 for dead u, never above dv
+        if (du > dv) {
+          // swap u to the front of its degree block, then decrement its degree
+          val pu = pos(u)
+          val pw = bin(du)
+          val w = order(pw)
+          if (u != w) {
+            order(pu) = w; order(pw) = u
+            pos(u) = pw; pos(w) = pu
+          }
+          bin(du) += 1
+          deg(u) = du - 1
         }
-        bin(du) += 1
-        deg(u) -= 1
+        j += 1
       }
       i += 1
     }
-    var v = 0
-    while (v < n) { if (alive != null && !alive(v)) core(v) = -1; v += 1 }
     core
   }
 
   /** Mask of the maximal subgraph where every vertex has degree >= k. */
   def kCoreMask(k: Int, alive: Array[Boolean] = null): Array[Boolean] = {
     val keep = if (alive == null) Array.fill(n)(true) else alive.clone()
-    val deg = Array.tabulate(n)(v => if (keep(v)) adj(v).count(keep) else 0)
-    val queue = new java.util.ArrayDeque[Int]()
-    for (v <- 0 until n if keep(v) && deg(v) < k) queue.add(v)
-    while (!queue.isEmpty) {
-      val v = queue.poll()
+    val deg = new Array[Int](n)
+    val queue = new Array[Int](n) // a vertex enters when its degree first drops below k
+    var tail = 0
+    var v = 0
+    while (v < n) {
       if (keep(v)) {
-        keep(v) = false
-        for (u <- adj(v) if keep(u)) {
+        val ns = adj(v)
+        var d = 0
+        var i = 0
+        while (i < ns.length) { if (keep(ns(i))) d += 1; i += 1 }
+        deg(v) = d
+        if (d < k) { queue(tail) = v; tail += 1 }
+      }
+      v += 1
+    }
+    var head = 0
+    while (head < tail) {
+      val v = queue(head)
+      head += 1
+      keep(v) = false
+      val ns = adj(v)
+      var i = 0
+      while (i < ns.length) {
+        val u = ns(i)
+        if (keep(u)) {
           deg(u) -= 1
-          if (deg(u) < k) queue.add(u)
+          if (deg(u) == k - 1) { queue(tail) = u; tail += 1 }
         }
+        i += 1
       }
     }
     keep
@@ -197,24 +270,62 @@ final class LocalGraph(
     * edges between `left` and `right` masks (paper Algorithm 3).
     *
     * Only edges with one endpoint in `left` and the other in `right` count.
-    * Vertices outside both masks (or dead) get 0.
+    * Vertices outside both masks (or dead) get 0. For each start vertex `v`,
+    * a dense counter holds the number of 2-hop cross paths to every `w`
+    * (their common cross neighbours); `p` such paths close `C(p, 2)`
+    * butterflies. Only the touched entries are reset after each `v`.
     */
   def butterflyDegrees(
       left: Array[Boolean],
       right: Array[Boolean],
       alive: Array[Boolean] = null): Array[Long] = {
-    val chi = new Array[Long](n)
-    def ok(v: Int): Boolean = alive == null || alive(v)
-    def side(v: Int): Int = if (left(v) && ok(v)) 0 else if (right(v) && ok(v)) 1 else -1
+    // side(v): 0 = left, 1 = right, -1 = neither or dead
+    val side = new Array[Byte](n)
     var v = 0
+    while (v < n) {
+      side(v) =
+        if (alive != null && !alive(v)) -1
+        else if (left(v)) 0
+        else if (right(v)) 1
+        else -1
+      v += 1
+    }
+    val chi = new Array[Long](n)
+    val paths = new Array[Int](n) // w -> #2-hop cross paths v..w; all 0 between starts
+    val touched = new Array[Int](n) // the w with paths(w) > 0
+    v = 0
     while (v < n) {
       val sv = side(v)
       if (sv >= 0) {
-        val paths = new mutable.LongMap[Int]() // w -> #2-hop cross paths v..w
-        for (u <- adj(v) if side(u) == 1 - sv; w <- adj(u) if side(w) == sv && w != v)
-          paths(w.toLong) = paths.getOrElse(w.toLong, 0) + 1
+        val other = 1 - sv
+        var nTouched = 0
+        val nv = adj(v)
+        var i = 0
+        while (i < nv.length) {
+          val u = nv(i)
+          if (side(u) == other) {
+            val nu = adj(u)
+            var j = 0
+            while (j < nu.length) {
+              val w = nu(j)
+              if (side(w) == sv && w != v) {
+                if (paths(w) == 0) { touched(nTouched) = w; nTouched += 1 }
+                paths(w) += 1
+              }
+              j += 1
+            }
+          }
+          i += 1
+        }
         var c = 0L
-        paths.foreachValue(p => c += p.toLong * (p - 1) / 2)
+        var t = 0
+        while (t < nTouched) {
+          val w = touched(t)
+          val p = paths(w)
+          c += p.toLong * (p - 1) / 2
+          paths(w) = 0
+          t += 1
+        }
         chi(v) = c
       }
       v += 1

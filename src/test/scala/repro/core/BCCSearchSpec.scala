@@ -118,4 +118,35 @@ class BCCSearchSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("a result reports its own rounds; a shared Instrument sums them") {
+    val g = planted.graph
+    val qs = queries.take(3)
+    val methods = Seq[(QueryGen.Query2, Instrument) => Option[BCCResult]](
+      (q, i) => OnlineBCC.run(g, q.ql, q.qr, LocalBCC.defaultParams(g, q.ql, q.qr), i, computeDiameter = false),
+      (q, i) => LPBCC.run(g, q.ql, q.qr, LocalBCC.defaultParams(g, q.ql, q.qr), i, computeDiameter = false))
+    for (run <- methods) {
+      val fresh = qs.map(_ => new Instrument)
+      val alone = qs.zip(fresh).map { case (q, i) => run(q, i).map(_.rounds) }
+      val shared = new Instrument
+      val together = qs.map(q => run(q, shared).map(_.rounds))
+      assert(alone.flatten.size >= 2, "too few answers to compare rounds")
+      assert(together == alone)
+      assert(shared.rounds == fresh.map(_.rounds).sum)
+    }
+  }
+
+  test("early exits still record their time") {
+    // a fresh graph, so the early exit happens after the id map is built
+    // inside the timed call
+    def fresh = GraphGen.randomLabeled(200, 4.0, Seq("A", "B"), 8)
+    val g = fresh
+    val Seq(a1, a2) = (0 until g.n).filter(g.labels(_) == "A").take(2).map(g.ids)
+    val i = new Instrument
+    assert(L2PBCC.run(g, a1, a2, BCCParams(1, 1, 1), BCIndex.build(g), i).isEmpty)
+    assert(i.totalNanos > 0, "same-label L2P query")
+    val j = new Instrument
+    assert(MultiBCC.run(fresh, Seq(-1L, a1), Seq(1, 1), 1, j).isEmpty)
+    assert(j.totalNanos > 0, "unknown-id mBCC query")
+  }
 }

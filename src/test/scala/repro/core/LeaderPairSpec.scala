@@ -11,8 +11,8 @@ import repro.eval.Instrument
   */
 class LeaderPairSpec extends AnyFunSuite {
 
-  private def freshEngine(seed: Int): BCCEngine = {
-    val g = GraphGen.randomLabeled(40, 5.0, Seq("A", "B"), seed)
+  private def freshEngine(seed: Int, n: Int = 40, avgDeg: Double = 5.0): BCCEngine = {
+    val g = GraphGen.randomLabeled(n, avgDeg, Seq("A", "B"), seed)
     val ql = (0 until g.n).find(g.labels(_) == "A").get
     val qr = (0 until g.n).find(g.labels(_) == "B").get
     val e = new BCCEngine(g, BCCParams(0, 0, 1), ql, qr, new Instrument)
@@ -34,6 +34,29 @@ class LeaderPairSpec extends AnyFunSuite {
         LeaderPair.updateOnDeletion(e, lR, v)
         e.alive(v) = false
         alive = alive.filter(_ != v)
+        val ref = e.g.butterflyDegrees(e.isLeft, e.isRight, e.alive)
+        assert(e.chi(lL) == ref(lL), s"left leader after deleting $v")
+        assert(e.chi(lR) == ref(lR), s"right leader after deleting $v")
+      }
+    }
+
+  for (seed <- 1 to 6)
+    test(s"Algorithm 7 tracks exact butterfly degrees on larger candidates, seed=$seed") {
+      // denser and larger than above, with leaders on both sides picked at
+      // random and most of the graph deleted in a random order
+      val e = freshEngine(seed + 500, n = 150, avgDeg = 10.0)
+      val rnd = new Random(seed)
+      def pick(side: Int => Boolean): Int = {
+        val vs = (0 until e.g.n).filter(v => side(v) && e.chi(v) > 0)
+        vs(rnd.nextInt(vs.length))
+      }
+      val lL = pick(e.isLeft)
+      val lR = pick(e.isRight)
+      val order = rnd.shuffle((0 until e.g.n).filter(v => v != lL && v != lR).toVector)
+      for (v <- order.take(100)) {
+        LeaderPair.updateOnDeletion(e, lL, v)
+        LeaderPair.updateOnDeletion(e, lR, v)
+        e.alive(v) = false
         val ref = e.g.butterflyDegrees(e.isLeft, e.isRight, e.alive)
         assert(e.chi(lL) == ref(lL), s"left leader after deleting $v")
         assert(e.chi(lR) == ref(lR), s"right leader after deleting $v")

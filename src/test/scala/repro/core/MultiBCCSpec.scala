@@ -98,4 +98,18 @@ class MultiBCCSpec extends AnyFunSuite {
     val q = QueryGen.queriesM(planted, 2, n = 1, seed = 4).head
     assert(MultiBCC.run(planted.graph, q.qs, Seq(1000, 1000), b = 1).isEmpty)
   }
+
+  test("a result reports its own rounds; a shared Instrument sums them") {
+    val queries = QueryGen.queriesM(planted, 2, n = 3, seed = 3)
+    val fresh = queries.map(_ => new repro.eval.Instrument)
+    val alone = queries.zip(fresh).map { case (q, i) =>
+      MultiBCC.run(planted.graph, q.qs, Seq(2, 2), b = 1, inst = i, fast = true).map(_.rounds)
+    }
+    val shared = new repro.eval.Instrument
+    val together = queries.map(q =>
+      MultiBCC.run(planted.graph, q.qs, Seq(2, 2), b = 1, inst = shared, fast = true).map(_.rounds))
+    assert(alone.flatten.size >= 2, "too few answers to compare rounds")
+    assert(together == alone)
+    assert(shared.rounds == fresh.map(_.rounds).sum)
+  }
 }

@@ -98,4 +98,10 @@ class SparkPipelineSpec extends SparkSpec {
     for (v <- 0 until g.n)
       assert(dist.getOrElse(g.ids(v), 0L) == local(v), s"vertex ${g.ids(v)}")
   }
+
+  test("an early exit of the fully distributed refinement still records its time") {
+    val inst = new repro.eval.Instrument
+    assert(DistOnlineBCC.run(sparkGraph, -1L, queries.head.qr, BCCParams(1, 1, 1), inst).isEmpty)
+    assert(inst.totalNanos > 0)
+  }
 }

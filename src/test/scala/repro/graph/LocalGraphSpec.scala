@@ -91,12 +91,14 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(g.coreness().toSeq == Seq(3, 3, 3, 3, 1))
   }
 
-  /** Reference coreness: iteratively peel min-degree vertices. */
-  private def refCoreness(g: LocalGraph): Array[Int] = {
-    val alive = Array.fill(g.n)(true)
-    val core = Array.fill(g.n)(0)
+  /** Reference coreness: iteratively peel min-degree vertices. Vertices
+    * outside `within` get -1.
+    */
+  private def refCoreness(g: LocalGraph, within: Array[Boolean] = null): Array[Int] = {
+    val alive = if (within == null) Array.fill(g.n)(true) else within.clone()
+    val core = Array.tabulate(g.n)(v => if (alive(v)) 0 else -1)
     var k = 0
-    var left = g.n
+    var left = alive.count(identity)
     while (left > 0) {
       var changed = true
       while (changed) {
@@ -163,10 +165,12 @@ class LocalGraphSpec extends AnyFunSuite {
   private def refButterflies(
       g: LocalGraph,
       left: Array[Boolean],
-      right: Array[Boolean]): Array[Long] = {
+      right: Array[Boolean],
+      alive: Array[Boolean] = null): Array[Long] = {
     val chi = Array.fill(g.n)(0L)
-    val ls = (0 until g.n).filter(left)
-    val rs = (0 until g.n).filter(right)
+    def ok(v: Int): Boolean = alive == null || alive(v)
+    val ls = (0 until g.n).filter(v => left(v) && ok(v))
+    val rs = (0 until g.n).filter(v => right(v) && ok(v))
     for {
       i <- ls.indices; j <- i + 1 until ls.length
       a <- rs.indices; b <- a + 1 until rs.length
@@ -279,4 +283,98 @@ class LocalGraphSpec extends AnyFunSuite {
       Seq((0L, 1L), (1L, 2L), (0L, 2L), (2L, 3L), (3L, 4L)))
     assert(g.kTrussVertexMask(3).toSeq == Seq(true, true, true, false, false))
   }
+
+  // ---- kernels on inputs shaped like their callers' ----
+
+  private def randomMask(n: Int, p: Double, rnd: scala.util.Random): Array[Boolean] =
+    Array.fill(n)(rnd.nextDouble() < p)
+
+  for (seed <- 1 to 12)
+    test(s"butterfly degrees match brute force with alive and sub-label masks, seed=$seed") {
+      // a third label in neither mask, masks that are strict subsets of their
+      // labels (like FindG0's components), and a random alive mask
+      val g = GraphGen.randomLabeled(30, 10.0 + seed % 4, Seq("A", "B", "C"), seed * 31)
+      val rnd = new scala.util.Random(seed)
+      val left = Array.tabulate(g.n)(v => g.labels(v) == "A" && rnd.nextDouble() < 0.8)
+      val right = Array.tabulate(g.n)(v => g.labels(v) == "B" && rnd.nextDouble() < 0.8)
+      for (alive <- Seq(null, randomMask(g.n, 0.8, rnd), randomMask(g.n, 0.5, rnd)))
+        assert(g.butterflyDegrees(left, right, alive).toSeq ==
+          refButterflies(g, left, right, alive).toSeq)
+    }
+
+  /** Reference k-core: repeatedly drop alive vertices below k. */
+  private def refKCore(g: LocalGraph, k: Int, alive: Array[Boolean]): Array[Boolean] = {
+    val keep = alive.clone()
+    var changed = true
+    while (changed) {
+      changed = false
+      for (v <- 0 until g.n if keep(v) && g.neighbors(v).count(keep) < k) {
+        keep(v) = false
+        changed = true
+      }
+    }
+    keep
+  }
+
+  for (seed <- 1 to 8)
+    test(s"kCoreMask with an alive mask matches the reference peel, seed=$seed") {
+      val g = GraphGen.randomLabeled(60, 5.0, Seq("A", "B"), seed * 11)
+      val rnd = new scala.util.Random(seed)
+      val maxDeg = (0 until g.n).map(g.degree).max
+      for (alive <- Seq(Array.tabulate(g.n)(v => g.labels(v) == "A"), randomMask(g.n, 0.7, rnd));
+           k <- Seq(0, 1, 2, 3, maxDeg + 1))
+        assert(g.kCoreMask(k, alive).toSeq == refKCore(g, k, alive).toSeq, s"k=$k")
+    }
+
+  /** Reference multi-source distances by relaxation to a fixpoint. */
+  private def refDistances(g: LocalGraph, sources: Seq[Int], alive: Array[Boolean]): Array[Int] = {
+    val dist = Array.fill(g.n)(LocalGraph.Inf)
+    for (s <- sources if alive(s)) dist(s) = 0
+    var changed = true
+    while (changed) {
+      changed = false
+      for (v <- 0 until g.n if alive(v) && dist(v) != LocalGraph.Inf; w <- g.neighbors(v)
+           if alive(w) && dist(v) + 1 < dist(w)) {
+        dist(w) = dist(v) + 1
+        changed = true
+      }
+    }
+    dist
+  }
+
+  for (seed <- 1 to 8)
+    test(s"bfs with duplicate and dead sources matches relaxation, seed=$seed") {
+      val g = GraphGen.randomLabeled(50, 3.0, Seq("A"), seed * 5)
+      val rnd = new scala.util.Random(seed)
+      val alive = randomMask(g.n, 0.75, rnd)
+      val some = Seq.fill(4)(rnd.nextInt(g.n))
+      val sources = some ++ some ++ Seq(alive.indexWhere(!_)).filter(_ >= 0)
+      assert(g.bfs(sources, alive).toSeq == refDistances(g, sources, alive).toSeq)
+      assert(g.bfs(sources).toSeq == refDistances(g, sources, Array.fill(g.n)(true)).toSeq)
+    }
+
+  for (seed <- 1 to 8)
+    test(s"coreness with an alive mask matches the peeling reference, seed=$seed") {
+      val g = GraphGen.randomLabeled(60, 4.0 + seed % 3, Seq("A", "B"), seed * 3)
+      val rnd = new scala.util.Random(seed)
+      for (alive <- Seq(Array.tabulate(g.n)(v => g.labels(v) == "B"), randomMask(g.n, 0.6, rnd)))
+        assert(g.coreness(alive).toSeq == refCoreness(g, alive).toSeq)
+    }
+
+  for (seed <- 1 to 8)
+    test(s"induced on a random mask keeps sorted adjacency and equals a rebuild, seed=$seed") {
+      val g = GraphGen.randomLabeled(50, 5.0, Seq("A", "B", "C"), seed * 19)
+      val keep = randomMask(g.n, 0.6, new scala.util.Random(seed))
+      val sub = g.induced(keep)
+      val kept = (0 until g.n).filter(keep)
+      val rebuilt = LocalGraph(
+        kept.map(v => (g.ids(v), g.labels(v))),
+        g.edges.collect { case (u, v) if keep(u) && keep(v) => (g.ids(u), g.ids(v)) }.toSeq)
+      for (h <- Seq(rebuilt, g.inducedByIds(kept.map(g.ids).toSet))) {
+        assert(sub.ids.toSeq == h.ids.toSeq)
+        assert(sub.labels.toSeq == h.labels.toSeq)
+        assert(sub.adj.map(_.toSeq).toSeq == h.adj.map(_.toSeq).toSeq)
+      }
+      assert(sub.adj.forall(a => a.toSeq == a.sorted.toSeq))
+    }
 }
